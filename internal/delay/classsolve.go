@@ -2,6 +2,7 @@ package delay
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -139,329 +140,356 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		}
 	}
 
-	flowB := newClassFlow(nl) // shared uncut tree of the current seed row
-	flowC := newClassFlow(nl) // per-target cut tree, derived incrementally
-	df := graph.NewDenseFlow(L)
-	slots := make([]aclsSlot, ncl)
+	// Tree groups fan out across workers. A group writes only the out.byB
+	// rows of its own target classes, so no locking is needed; L, tl and
+	// L's transpose are shared read-only, and everything a group mutates
+	// lives in its worker's solver closure. The fan-out waits for regions
+	// big enough to amortize one solver's scratch per worker.
+	var ltOnce sync.Once
+	var ltm *graph.BitMatrix // L's transpose, for witness-predecessor rows
+	transpose := func() *graph.BitMatrix {
+		ltOnce.Do(func() { ltm = L.Transpose() })
+		return ltm
+	}
 	tw := graph.WordsFor(2 * (nl + 2))
+	newSolver := func(sc *regionScratch) func(g *tgroup) {
+		flowB := newClassFlow(nl) // shared uncut tree of the current seed row
+		flowC := newClassFlow(nl) // per-target cut tree, derived incrementally
+		df := graph.NewDenseFlow(L)
+		slots := make([]aclsSlot, ncl)
 
-	visG := make([]uint64, len(mask)) // flowB.vis in global bit positions
-	visGEp := int32(0)
-	var pvis []uint64
-	var pstack []int32
-	bG := make([]uint64, len(mask)) // global members of the current target class
-	bGEp := int32(0)
-	var lt *graph.BitMatrix // L's transpose, for witness-predecessor rows
-	var cvis []uint64
-	var ctin, ctout []int32
-	var sbS, tbS, vbS []uint64 // sparse-bracket scratch (survivors, targets, visited)
-	slBuf := make([]int32, 0, sparseCap+1)
-	var selfT []int32
-	tepoch := int32(0) // advances per tree group
-	bepoch := int32(0) // advances per target class
-	lepoch := int32(0) // advances per target access
+		visG := make([]uint64, len(mask)) // flowB.vis in global bit positions
+		visGEp := int32(0)
+		var pvis []uint64
+		var pstack []int32
+		bG := make([]uint64, len(mask)) // global members of the current target class
+		bGEp := int32(0)
+		var cvis []uint64
+		var ctin, ctout []int32
+		var sbS, tbS, vbS []uint64 // sparse-bracket scratch (survivors, targets, visited)
+		slBuf := make([]int32, 0, sparseCap+1)
+		var selfT []int32
+		tepoch := int32(0) // advances per tree group
+		bepoch := int32(0) // advances per target class
+		lepoch := int32(0) // advances per target access
 
-	for _, g := range groups {
-		tepoch++
-		treeReady := false
-		seeds, seedsRow := g.seeds, g.row
+		return func(g *tgroup) {
+			tepoch++
+			treeReady := false
+			seeds, seedsRow := g.seeds, g.row
 
-		for _, bc := range g.classes {
-			bepoch++
+			for _, bc := range g.classes {
+				bepoch++
 
-			for _, lb32 := range byClass[bc] {
-				lb := int(lb32)
-				gb := int(members[lb])
-				lepoch++
-				cutReady := false
-				cand := sc.cand
-				if !candidateRow(ag, gb, em, con.EndpointsMode, cand) {
-					continue
-				}
-				for i := range cand {
-					cand[i] &= mask[i]
-				}
-				row := out.byB.Row(gb)
-				drow := dirOut.Row(gb)
-				rest := false
-				for i := range cand {
-					d := drow[i] & cand[i] // single conflict edge b -> a
-					row[i] |= d
-					cand[i] &^= d
-					if cand[i] != 0 {
-						rest = true
+				for _, lb32 := range byClass[bc] {
+					lb := int(lb32)
+					gb := int(members[lb])
+					lepoch++
+					cutReady := false
+					cand := sc.cand
+					if !candidateRow(ag, gb, em, con.EndpointsMode, cand) {
+						continue
 					}
-				}
-				if !rest {
-					continue
-				}
-				if len(seeds) == 0 {
-					continue // no usable conflict edge leaves b within the region
-				}
-				if !treeReady {
-					treeReady = true
-					flowB.reach(L, seedsRow, nil)
-				}
-
-				for wi, word := range cand {
-					for ; word != 0; word &= word - 1 {
-						a := wi<<6 + bits.TrailingZeros64(word)
-						la := int(lof[a])
-						st := &slots[lcOf[la]]
-
-						// Tier 0: a seed that is itself a witness is accepted
-						// by the reference before any la/lb filtering — even
-						// when it equals la — so the whole (a-class, tree)
-						// cell is TRUE.
-						// Tier 1: shared-tree interval certificate. Per
-						// (a-class, target) cell the witnesses OUTSIDE
-						// subtree(lb) are summarized once by their count and
-						// entry-time extremes; a pair then has an uncovered
-						// witness iff subtree(la) fails to bracket those
-						// extremes — three integer compares on the hot path
-						// instead of a rank query per pair.
-						if st.e1 != tepoch {
-							st.e1 = tepoch
-							tla := tl.Row(la)
-							st.sw = graph.AndAny(seedsRow, tla)
-							if !st.sw {
-								st.w1.build(tla, flowB.vis, flowB.tin, tw)
-							}
+					for i := range cand {
+						cand[i] &= mask[i]
+					}
+					row := out.byB.Row(gb)
+					drow := dirOut.Row(gb)
+					rest := false
+					for i := range cand {
+						d := drow[i] & cand[i] // single conflict edge b -> a
+						row[i] |= d
+						cand[i] &^= d
+						if cand[i] != 0 {
+							rest = true
 						}
-						res, dec := false, false
-						if st.sw {
-							dec, res = true, true
-						} else if st.w1.total == 0 {
-							dec = true // unreachable even without the cut
-						} else {
-							if st.eX != lepoch {
-								st.eX = lepoch
-								st.xOut, st.xMin, st.xMax = st.w1.outside(flowB.vis, flowB.tin, flowB.tout, lb)
-							}
-							if st.xOut > 0 &&
-								!(graph.BitGet(flowB.vis, la) && flowB.tin[la] <= st.xMin && st.xMax <= flowB.tout[la]) {
-								dec, res = true, true // witness outside both subtrees
-							} else if graph.BitGet(tl.Row(la), la) && graph.BitGet(flowB.vis, la) &&
-								!inSubtree(flowB.vis, flowB.tin, flowB.tout, lb, la) {
-								dec, res = true, true // witness y == a, tree path avoids b
-							}
-						}
+					}
+					if !rest {
+						continue
+					}
+					if len(seeds) == 0 {
+						continue // no usable conflict edge leaves b within the region
+					}
+					if !treeReady {
+						treeReady = true
+						flowB.reach(L, seedsRow, nil)
+					}
 
-						// Tier 1.5: cut-tree certificate. One BFS with lb's
-						// in-edges deleted — exactly denseSolve's per-target
-						// tree — amortized over every unresolved pair of this
-						// lb. Cut-tree paths are lb-legal by construction
-						// (seed-equal-to-cut is still expanded, matching the
-						// reference), so a witness outside subtree(la) is an
-						// exact TRUE, and zero reachable witnesses is an exact
-						// FALSE: the reference's accepted targets are a subset
-						// of cut-reach because a target is never lb here.
-						if !dec {
-							tla := tl.Row(la)
-							selfConf := graph.BitGet(tla, la)
-							if !cutReady {
-								cutReady = true
-								if graph.BitGet(seedsRow, lb) {
-									// The reference expands a seed equal to its
-									// own cut, so the cut tree IS the shared
-									// tree: every tree path has lb only in
-									// start position, which is legal.
-									cvis, ctin, ctout = flowB.vis, flowB.tin, flowB.tout
-								} else {
-									if lt == nil {
-										lt = L.Transpose()
-									}
-									flowC.reachCutFrom(L, lt, flowB, lb)
-									cvis, ctin, ctout = flowC.vis, flowC.tin, flowC.tout
+					for wi, word := range cand {
+						for ; word != 0; word &= word - 1 {
+							a := wi<<6 + bits.TrailingZeros64(word)
+							la := int(lof[a])
+							st := &slots[lcOf[la]]
+
+							// Tier 0: a seed that is itself a witness is accepted
+							// by the reference before any la/lb filtering — even
+							// when it equals la — so the whole (a-class, tree)
+							// cell is TRUE.
+							// Tier 1: shared-tree interval certificate. Per
+							// (a-class, target) cell the witnesses OUTSIDE
+							// subtree(lb) are summarized once by their count and
+							// entry-time extremes; a pair then has an uncovered
+							// witness iff subtree(la) fails to bracket those
+							// extremes — three integer compares on the hot path
+							// instead of a rank query per pair.
+							if st.e1 != tepoch {
+								st.e1 = tepoch
+								tla := tl.Row(la)
+								st.sw = graph.AndAny(seedsRow, tla)
+								if !st.sw {
+									st.w1.build(tla, flowB.vis, flowB.tin, tw)
 								}
 							}
-							if st.eC != lepoch {
-								st.eC = lepoch
-								st.wCut.build(tla, cvis, ctin, tw)
-							}
-							if st.wCut.total == 0 {
-								dec = true
-							} else if coveredCount(&st.wCut, cvis, ctin, ctout, la, la) < st.wCut.total {
+							res, dec := false, false
+							if st.sw {
 								dec, res = true, true
-							} else if selfConf && graph.BitGet(cvis, la) {
-								// Witness y == a: accepted on generation by the
-								// reference, and its cut-tree path has la only
-								// as its endpoint.
-								dec, res = true, true
+							} else if st.w1.total == 0 {
+								dec = true // unreachable even without the cut
+							} else {
+								if st.eX != lepoch {
+									st.eX = lepoch
+									st.xOut, st.xMin, st.xMax = st.w1.outside(flowB.vis, flowB.tin, flowB.tout, lb)
+								}
+								if st.xOut > 0 &&
+									!(graph.BitGet(flowB.vis, la) && flowB.tin[la] <= st.xMin && st.xMax <= flowB.tout[la]) {
+									dec, res = true, true // witness outside both subtrees
+								} else if graph.BitGet(tl.Row(la), la) && graph.BitGet(flowB.vis, la) &&
+									!inSubtree(flowB.vis, flowB.tin, flowB.tout, lb, la) {
+									dec, res = true, true // witness y == a, tree path avoids b
+								}
 							}
 
-							// Tier 1.75: witness-predecessor certificate. The
-							// pair is TRUE the moment any cut-tree node u
-							// outside subtree(la) carries an edge into ANY
-							// witness: u's tree path avoids lb (cut) and la
-							// (outside its subtree), and the reference accepts
-							// a generated witness before filtering it — even
-							// one equal to la. P = ∪ preds(witnesses) depends
-							// only on the a-class, so the per-pair test is one
-							// interval rank query on the cut tree.
+							// Tier 1.5: cut-tree certificate. One BFS with lb's
+							// in-edges deleted — exactly denseSolve's per-target
+							// tree — amortized over every unresolved pair of this
+							// lb. Cut-tree paths are lb-legal by construction
+							// (seed-equal-to-cut is still expanded, matching the
+							// reference), so a witness outside subtree(la) is an
+							// exact TRUE, and zero reachable witnesses is an exact
+							// FALSE: the reference's accepted targets are a subset
+							// of cut-reach because a target is never lb here.
 							if !dec {
-								if !st.pOK {
-									st.pOK = true
-									if lt == nil {
-										lt = L.Transpose()
+								tla := tl.Row(la)
+								selfConf := graph.BitGet(tla, la)
+								if !cutReady {
+									cutReady = true
+									if graph.BitGet(seedsRow, lb) {
+										// The reference expands a seed equal to its
+										// own cut, so the cut tree IS the shared
+										// tree: every tree path has lb only in
+										// start position, which is legal.
+										cvis, ctin, ctout = flowB.vis, flowB.tin, flowB.tout
+									} else {
+										flowC.reachCutFrom(L, transpose(), flowB, lb)
+										cvis, ctin, ctout = flowC.vis, flowC.tin, flowC.tout
 									}
-									st.p = make([]uint64, lw)
-									for wi, word := range tla {
-										for ; word != 0; word &= word - 1 {
-											r := lt.Row(wi<<6 + bits.TrailingZeros64(word))
-											for i := range st.p {
-												st.p[i] |= r[i]
+								}
+								if st.eC != lepoch {
+									st.eC = lepoch
+									st.wCut.build(tla, cvis, ctin, tw)
+								}
+								if st.wCut.total == 0 {
+									dec = true
+								} else if coveredCount(&st.wCut, cvis, ctin, ctout, la, la) < st.wCut.total {
+									dec, res = true, true
+								} else if selfConf && graph.BitGet(cvis, la) {
+									// Witness y == a: accepted on generation by the
+									// reference, and its cut-tree path has la only
+									// as its endpoint.
+									dec, res = true, true
+								}
+
+								// Tier 1.75: witness-predecessor certificate. The
+								// pair is TRUE the moment any cut-tree node u
+								// outside subtree(la) carries an edge into ANY
+								// witness: u's tree path avoids lb (cut) and la
+								// (outside its subtree), and the reference accepts
+								// a generated witness before filtering it — even
+								// one equal to la. P = ∪ preds(witnesses) depends
+								// only on the a-class, so the per-pair test is one
+								// interval rank query on the cut tree.
+								if !dec {
+									if !st.pOK {
+										st.pOK = true
+										st.p = make([]uint64, lw)
+										lt := transpose()
+										for wi, word := range tla {
+											for ; word != 0; word &= word - 1 {
+												r := lt.Row(wi<<6 + bits.TrailingZeros64(word))
+												for i := range st.p {
+													st.p[i] |= r[i]
+												}
 											}
 										}
 									}
-								}
-								if st.eP != lepoch {
-									st.eP = lepoch
-									st.wP.build(st.p, cvis, ctin, tw)
-								}
-								if st.wP.total > 0 &&
-									coveredCount(&st.wP, cvis, ctin, ctout, la, la) < st.wP.total {
-									dec, res = true, true
+									if st.eP != lepoch {
+										st.eP = lepoch
+										st.wP.build(st.p, cvis, ctin, tw)
+									}
+									if st.wP.total > 0 &&
+										coveredCount(&st.wP, cvis, ctin, ctout, la, la) < st.wP.total {
+										dec, res = true, true
+									}
 								}
 							}
-						}
 
-						// Tier 2: the exact per-pair search.
-						if !dec {
-							res = df.AvoidReach(seeds, lb, la, tl.Row(la))
-						}
-						if !res {
-							continue
-						}
+							// Tier 2: the exact per-pair search.
+							if !dec {
+								res = df.AvoidReach(seeds, lb, la, tl.Row(la))
+							}
+							if !res {
+								continue
+							}
 
-						if con.Removed != nil {
-							// Stage 2 runs at cell granularity: the removal
-							// data (cover, conflict rows, witness rows) is
-							// class-invariant, so one decision usually covers
-							// every pair of the (a-class, target class) cell.
-							// The screen: a cover untouched by the shared
-							// tree's global uncut reach cannot remove any
-							// pair. Then two exact searches bracket the cell:
-							// blocking BOTH whole classes under-approximates
-							// blocking just {a, b}, so a hit proves the cell
-							// TRUE; blocking neither endpoint and widening
-							// the targets to the whole a-class
-							// over-approximates every pair, so a miss proves
-							// the cell FALSE. Only cells the bracket cannot
-							// settle pay per-pair searches.
-							if st.e2 != bepoch {
-								st.e2 = bepoch
-								covG := con.RemovedCover(a, gb, sc.cover)
-								if visGEp != tepoch {
-									visGEp = tepoch
-									for i := range visG {
-										visG[i] = 0
-									}
-									for wi, word := range flowB.vis {
-										for ; word != 0; word &= word - 1 {
-											graph.BitSet(visG, int(members[wi<<6+bits.TrailingZeros64(word)]))
+							if con.Removed != nil {
+								// Stage 2 runs at cell granularity: the removal
+								// data (cover, conflict rows, witness rows) is
+								// class-invariant, so one decision usually covers
+								// every pair of the (a-class, target class) cell.
+								// The screen: a cover untouched by the shared
+								// tree's global uncut reach cannot remove any
+								// pair. Then two exact searches bracket the cell:
+								// blocking BOTH whole classes under-approximates
+								// blocking just {a, b}, so a hit proves the cell
+								// TRUE; blocking neither endpoint and widening
+								// the targets to the whole a-class
+								// over-approximates every pair, so a miss proves
+								// the cell FALSE. Only cells the bracket cannot
+								// settle pay per-pair searches.
+								if st.e2 != bepoch {
+									st.e2 = bepoch
+									covG := con.RemovedCover(a, gb, sc.cover)
+									if visGEp != tepoch {
+										visGEp = tepoch
+										for i := range visG {
+											visG[i] = 0
+										}
+										for wi, word := range flowB.vis {
+											for ; word != 0; word &= word - 1 {
+												graph.BitSet(visG, int(members[wi<<6+bits.TrailingZeros64(word)]))
+											}
 										}
 									}
-								}
-								covHit := false
-								for i, w := range visG {
-									if covG[i]&mask[i]&w != 0 {
-										covHit = true
-										break
-									}
-								}
-								if !covHit {
-									st.s2 = s2Keep // no removable access reachable
-								} else {
-									if st.aG == nil {
-										st.aG = make([]uint64, len(mask))
-										for _, v := range byClass[lcOf[la]] {
-											graph.BitSet(st.aG, int(members[v]))
-										}
-									}
-									// Drop screen: every removal-stage search —
-									// bracket passes and per-pair residues alike —
-									// seeds from the target's conflict row and so
-									// reaches only within the group's uncut reach.
-									// A cell none of whose surviving witnesses
-									// (outside the cover, or exempt as the
-									// a-class) is uncut-reachable drops outright.
-									ta := dirIn.Row(a)
-									survReach := false
+									covHit := false
 									for i, w := range visG {
-										t := ta[i] & mask[i]
-										if s := t&^covG[i] | t&st.aG[i]; s&w != 0 {
-											survReach = true
+										if covG[i]&mask[i]&w != 0 {
+											covHit = true
 											break
 										}
 									}
-									if !survReach {
-										st.s2 = s2Drop
-									} else if gd == nil {
-										st.s2 = s2PerPair
+									if !covHit {
+										st.s2 = s2Keep // no removable access reachable
 									} else {
-										if bGEp != bepoch {
-											bGEp = bepoch
-											for i := range bG {
-												bG[i] = 0
-											}
-											for _, v := range byClass[bc] {
-												graph.BitSet(bG, int(members[v]))
+										if st.aG == nil {
+											st.aG = make([]uint64, len(mask))
+											for _, v := range byClass[lcOf[la]] {
+												graph.BitSet(st.aG, int(members[v]))
 											}
 										}
-										var sparse bool
-										slBuf, sparse = survivorList(mask, covG, slBuf, sparseCap)
-										if sparse {
-											if sbS == nil {
-												sbS = make([]uint64, len(mask))
-												tbS = make([]uint64, len(mask))
-												vbS = make([]uint64, len(mask))
+										// Drop screen: every removal-stage search —
+										// bracket passes and per-pair residues alike —
+										// seeds from the target's conflict row and so
+										// reaches only within the group's uncut reach.
+										// A cell none of whose surviving witnesses
+										// (outside the cover, or exempt as the
+										// a-class) is uncut-reachable drops outright.
+										ta := dirIn.Row(a)
+										survReach := false
+										for i, w := range visG {
+											t := ta[i] & mask[i]
+											if s := t&^covG[i] | t&st.aG[i]; s&w != 0 {
+												survReach = true
+												break
 											}
-											selfT = selfT[:0]
-											for _, v := range byClass[lcOf[la]] {
-												if gv := int(members[v]); graph.BitGet(ta, gv) {
-													selfT = append(selfT, int32(gv))
+										}
+										if !survReach {
+											st.s2 = s2Drop
+										} else if gd == nil {
+											st.s2 = s2PerPair
+										} else {
+											if bGEp != bepoch {
+												bGEp = bepoch
+												for i := range bG {
+													bG[i] = 0
+												}
+												for _, v := range byClass[bc] {
+													graph.BitSet(bG, int(members[v]))
 												}
 											}
-											st.s2, sc.queue = sparseCellRestrict(gd, ta, dirOut.Row(gb), st.aG, bG, slBuf, selfT, sbS, tbS, vbS, sc.queue)
-										} else {
-											st.s2 = cellRestrict(gd, mask, covG, ta, dirOut.Row(gb), st.aG, bG, sc.vis, sc.teff, sc.queue)
+											var sparse bool
+											slBuf, sparse = survivorList(mask, covG, slBuf, sparseCap)
+											if sparse {
+												if sbS == nil {
+													sbS = make([]uint64, len(mask))
+													tbS = make([]uint64, len(mask))
+													vbS = make([]uint64, len(mask))
+												}
+												selfT = selfT[:0]
+												for _, v := range byClass[lcOf[la]] {
+													if gv := int(members[v]); graph.BitGet(ta, gv) {
+														selfT = append(selfT, int32(gv))
+													}
+												}
+												st.s2, sc.queue = sparseCellRestrict(gd, ta, dirOut.Row(gb), st.aG, bG, slBuf, selfT, sbS, tbS, vbS, sc.queue)
+											} else {
+												st.s2 = cellRestrict(gd, mask, covG, ta, dirOut.Row(gb), st.aG, bG, sc.vis, sc.teff, sc.queue)
+											}
+										}
+									}
+								}
+								if st.s2 == s2Drop {
+									continue
+								}
+								if st.s2 == s2PerPair {
+									if gd != nil {
+										covG := con.RemovedCover(a, gb, sc.cover)
+										var hitP bool
+										sc.queue, hitP = denseRestrict(gd, mask, covG, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
+										if !hitP {
+											continue
+										}
+									} else {
+										if pvis == nil {
+											pvis = make([]uint64, lw)
+											pstack = make([]int32, 0, nl)
+										}
+										var hitP bool
+										pstack, hitP = densePairSearch(L, pvis, pstack, tl.Row(la), members, seeds, a, la, gb, lb, con.Removed)
+										if !hitP {
+											continue
 										}
 									}
 								}
 							}
-							if st.s2 == s2Drop {
-								continue
-							}
-							if st.s2 == s2PerPair {
-								if gd != nil {
-									covG := con.RemovedCover(a, gb, sc.cover)
-									var hitP bool
-									sc.queue, hitP = denseRestrict(gd, mask, covG, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
-									if !hitP {
-										continue
-									}
-								} else {
-									if pvis == nil {
-										pvis = make([]uint64, lw)
-										pstack = make([]int32, 0, nl)
-									}
-									var hitP bool
-									pstack, hitP = densePairSearch(L, pvis, pstack, tl.Row(la), members, seeds, a, la, gb, lb, con.Removed)
-									if !hitP {
-										continue
-									}
-								}
-							}
+							graph.BitSet(row, a)
 						}
-						graph.BitSet(row, a)
 					}
 				}
 			}
 		}
 	}
+
+	nw := 1
+	if nl >= classFanoutMin {
+		nw = WorkerCount(len(groups))
+	}
+	solvers := make([]func(g *tgroup), nw)
+	ParallelFor(len(groups), nw, func(wk, gi int) {
+		if solvers[wk] == nil {
+			wsc := sc
+			if wk > 0 {
+				wsc = newRegionScratch(len(sc.localOf))
+			}
+			solvers[wk] = newSolver(wsc)
+		}
+		solvers[wk](groups[gi])
+	})
 	return true
 }
+
+// classFanoutMin is the region size from which classSolve fans its tree
+// groups out across workers; smaller regions solve serially.
+const classFanoutMin = 1024
 
 // classSolveUsable reports whether the constraint shape supports the
 // class-condensed engine: an access classing must exist, per-pair

@@ -443,13 +443,16 @@ func (c Constraints) flattened(n int) Constraints {
 	return c
 }
 
-// Workers bounds the fan-out of Compute's source and pair loops. Zero,
-// the default, means one worker per available CPU (GOMAXPROCS); 1 forces
+// Workers bounds the fan-out of Compute's source and pair loops, and of
+// the analyses built on them (syncanal's refinement rounds). Zero, the
+// default, means one worker per available CPU (GOMAXPROCS); 1 forces
 // sequential execution. Results land in index-addressed slots and are
 // merged in order, so the computed set is identical at any worker count.
 var Workers = 0
 
-func workerCount(n int) int {
+// WorkerCount returns the number of workers to run n independent items
+// on under the Workers bound.
+func WorkerCount(n int) int {
 	w := Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -463,11 +466,11 @@ func workerCount(n int) int {
 	return w
 }
 
-// parallelFor runs fn(worker, i) for every i in [0, n) on nw workers.
+// ParallelFor runs fn(worker, i) for every i in [0, n) on nw workers.
 // Workers claim indices from an atomic counter; fn must write results
 // into index-addressed slots. The worker id lets fn reuse per-worker
 // scratch.
-func parallelFor(n, nw int, fn func(worker, i int)) {
+func ParallelFor(n, nw int, fn func(worker, i int)) {
 	if nw <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -637,14 +640,14 @@ func computeWhole(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	}
 
 	res := make([]bool, total)
-	nw := workerCount(n)
+	nw := WorkerCount(n)
 	switch {
 	case con.Exact && n <= con.maxExact():
 		cdir := con.ConflictDir
 		if cdir == nil {
 			cdir = func(x, y int) bool { return true }
 		}
-		parallelFor(n, nw, func(_, b int) {
+		ParallelFor(n, nw, func(_, b int) {
 			for k := off[b]; k < off[b+1]; k++ {
 				a := int(aOf[k])
 				removed := func(z int) bool {
@@ -658,7 +661,7 @@ func computeWhole(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 		})
 	case con.Removed != nil:
 		scratch := make([]*pairScratch, nw)
-		parallelFor(n, nw, func(w, b int) {
+		ParallelFor(n, nw, func(w, b int) {
 			if off[b] == off[b+1] {
 				return
 			}
@@ -672,7 +675,7 @@ func computeWhole(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 		})
 	default:
 		fds := make([]*graph.FlowDom, nw)
-		parallelFor(n, nw, func(w, b int) {
+		ParallelFor(n, nw, func(w, b int) {
 			if off[b] == off[b+1] {
 				return
 			}

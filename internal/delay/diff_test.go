@@ -1,7 +1,9 @@
 package delay
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/conflict"
@@ -142,9 +144,32 @@ func TestBatchedMatchesReference(t *testing.T) {
 
 // TestComputeDeterministicAcrossWorkers locks down that the worker count
 // never changes the computed set: results land in index-addressed slots
-// and merge in pair order.
+// and merge in pair order. Beyond the small-seed variants it runs a
+// class-solved oriented pass on the 2k tier, whose largest region is past
+// classFanoutMin and splits into several tree groups, so the groups
+// really do fan out across workers.
 func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 	defer func(w int) { Workers = w }(Workers)
+	requireSame := func(label string, ag *ir.AccessGraph, cs *conflict.Set, con Constraints) {
+		t.Helper()
+		Workers = 1
+		seq := Compute(ag, cs, con)
+		for _, nw := range []int{2, 8} {
+			Workers = nw
+			par := Compute(ag, cs, con)
+			if seq.byB != nil && par.byB != nil {
+				// Dense sets: equal target rows are equal pairs in equal order.
+				if !wordsEqual64(par.byB.Words(), seq.byB.Words()) {
+					t.Fatalf("%s: target rows differ at %d workers", label, nw)
+				}
+				continue
+			}
+			pairsEqual(t, fmt.Sprintf("%s workers=%d", label, nw), par, seq)
+			if fmt.Sprint(par.Pairs()) != fmt.Sprint(seq.Pairs()) {
+				t.Fatalf("%s: pair ordering differs at %d workers", label, nw)
+			}
+		}
+	}
 	fn := genFn(3)
 	for seed := int64(3); fn == nil; seed++ {
 		fn = genFn(seed)
@@ -152,15 +177,78 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 	ag := ir.BuildAccessGraph(fn)
 	cs := conflict.Compute(fn)
 	for _, v := range diffVariants(fn, cs) {
-		Workers = 1
-		seq := Compute(ag, cs, v.con)
-		for _, nw := range []int{2, 8} {
-			Workers = nw
-			par := Compute(ag, cs, v.con)
-			pairsEqual(t, fmt.Sprintf("%s workers=%d", v.name, nw), par, seq)
-			if fmt.Sprint(par.Pairs()) != fmt.Sprint(seq.Pairs()) {
-				t.Fatalf("%s: pair ordering differs at %d workers", v.name, nw)
+		requireSame(v.name, ag, cs, v.con)
+	}
+
+	if testing.Short() {
+		return
+	}
+	fn = tierFn(t, "acc2048")
+	ag = ir.BuildAccessGraph(fn)
+	cs = conflict.Compute(fn)
+	con := groupOrientedClassed(cs, len(fn.Accesses))
+	if nl, groups := largestRegionTreeGroups(ag, con); nl < classFanoutMin || groups < 2 {
+		t.Fatalf("largest region has %d accesses and %d tree groups; the fan-out needs >= %d and >= 2",
+			nl, groups, classFanoutMin)
+	}
+	requireSame("acc2048 class-solved oriented", ag, cs, con)
+}
+
+// groupOrientedClassed is a class-solved oriented constraint: conflict
+// edges run from lower to higher (or equal) conflict group, and the access
+// classing is the conflict group. Both depend on the group alone, so every
+// class shares its oriented rows and columns, as AccessClass requires.
+func groupOrientedClassed(cs *conflict.Set, n int) Constraints {
+	dir := graph.NewBitMatrix(n)
+	cls := make([]int32, n)
+	for x := 0; x < n; x++ {
+		cls[x] = cs.GroupOf(x)
+		for _, y := range cs.Partners(x) {
+			if cs.GroupOf(x) <= cs.GroupOf(y) {
+				dir.Set(x, y)
 			}
 		}
 	}
+	return Constraints{DirRows: dir, AccessClass: cls}
+}
+
+// largestRegionTreeGroups returns the size of the largest region of con's
+// mixed graph and the number of classSolve tree groups in it: the distinct
+// in-region conflict rows over its access classes.
+func largestRegionTreeGroups(ag *ir.AccessGraph, con Constraints) (nl, groups int) {
+	n := len(ag.G.Adj)
+	cd := graph.Condense(n, func(u int, visit func(v int32)) {
+		for _, v := range ag.G.Adj[u] {
+			visit(int32(v))
+		}
+		for wi, word := range con.DirRows.Row(u) {
+			for ; word != 0; word &= word - 1 {
+				visit(int32(wi<<6 + bits.TrailingZeros64(word)))
+			}
+		}
+	})
+	var members []int32
+	for _, m := range cd.Members {
+		if len(m) > len(members) {
+			members = m
+		}
+	}
+	mask := make([]uint64, graph.WordsFor(n))
+	for _, v := range members {
+		graph.BitSet(mask, int(v))
+	}
+	seen := make(map[int32]bool)
+	rows := make(map[string]bool)
+	for _, v := range members {
+		if c := con.AccessClass[v]; !seen[c] {
+			seen[c] = true
+			row := con.DirRows.Row(int(v))
+			key := make([]byte, 0, 8*len(row))
+			for i, word := range row {
+				key = binary.LittleEndian.AppendUint64(key, word&mask[i])
+			}
+			rows[string(key)] = true
+		}
+	}
+	return len(members), len(rows)
 }

@@ -239,7 +239,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 	flip := em != nil && con.EndpointsMode == EndpointsInclude &&
 		con.Removed == nil && filter == nil && 4*ecount < n
 
-	nw := workerCount(n)
+	nw := WorkerCount(n)
 	scr := make([]*hubScratch, nw)
 	scratch := func(wk int) *hubScratch {
 		if scr[wk] == nil {
@@ -490,7 +490,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 
 	if con.Removed == nil {
 		// Group-major forward sweeps: one shared base per conflict group.
-		parallelFor(G, nw, func(wk, g int) {
+		ParallelFor(G, nw, func(wk, g int) {
 			if len(ga[g]) == 0 {
 				return
 			}
@@ -528,7 +528,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 			}
 		})
 	} else {
-		parallelFor(n, nw, func(wk, b int) {
+		ParallelFor(n, nw, func(wk, b int) {
 			if flip && !graph.BitGet(em, b) {
 				return // handled by a reverse sweep below
 			}
@@ -554,7 +554,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 	}
 	results := make([][]uint64, len(revAs))
 	rscr := make([]*hubScratch, nw)
-	parallelFor(len(revAs), nw, func(wk, i int) {
+	ParallelFor(len(revAs), nw, func(wk, i int) {
 		if rscr[wk] == nil {
 			rscr[wk] = &hubScratch{
 				fd:    graph.NewFlowDom(rev),
@@ -794,6 +794,18 @@ type regionScratch struct {
 	queue   []int32  // denseRestrict BFS queue
 }
 
+func newRegionScratch(n int) *regionScratch {
+	w := graph.WordsFor(n)
+	return &regionScratch{
+		localOf: make([]int32, n),
+		cand:    make([]uint64, w),
+		gv:      make([]uint64, w),
+		cover:   make([]uint64, w),
+		vis:     make([]uint64, w),
+		teff:    make([]uint64, w),
+	}
+}
+
 // sccCompute answers pairs under directed conflict edges by decomposing
 // the mixed graph into its strongly connected components and running the
 // whole-graph per-target logic on each induced subgraph. Orientation by
@@ -849,20 +861,13 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		gd = &mixedAdj{dir: dirOut, adj: adj}
 	}
 
-	nw := workerCount(cd.NComp)
+	nw := WorkerCount(cd.NComp)
 	scr := make([]*regionScratch, nw)
 
-	parallelFor(cd.NComp, nw, func(wk, c int) {
+	ParallelFor(cd.NComp, nw, func(wk, c int) {
 		members := cd.Members[c]
 		if scr[wk] == nil {
-			scr[wk] = &regionScratch{
-				localOf: make([]int32, n),
-				cand:    make([]uint64, w),
-				gv:      make([]uint64, w),
-				cover:   make([]uint64, w),
-				vis:     make([]uint64, w),
-				teff:    make([]uint64, w),
-			}
+			scr[wk] = newRegionScratch(n)
 		}
 		regionSolve(ag, cs, con, out, cd, c, members, dirOut, dirIn, em, filter, gd, scr[wk])
 	})

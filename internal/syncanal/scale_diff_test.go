@@ -60,3 +60,35 @@ func TestScaleTierAnalysisPinned(t *testing.T) {
 		t.Fatalf("|D| = %d, pinned 1195464", n)
 	}
 }
+
+// TestScaleTierDeterministicAcrossWorkers requires the full pipeline to
+// give pair-identical R and D on the acc2048 tier at one worker and at
+// eight. The tier is large enough that both fan-outs engage: the
+// refinement rounds' consumer scan and the oriented pass's tree groups
+// inside its 1,700-access region.
+func TestScaleTierDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second tier build in -short mode")
+	}
+	defer func(w int) { delay.Workers = w }(delay.Workers)
+	fn := tierProgram(t, "acc2048")
+	delay.Workers = 1
+	seq := Analyze(fn, Options{})
+	delay.Workers = 8
+	par := Analyze(fn, Options{})
+	if seq.R.Size() != par.R.Size() || seq.D.Size() != par.D.Size() {
+		t.Fatalf("|R|, |D| = %d, %d at 8 workers vs %d, %d at 1",
+			par.R.Size(), par.D.Size(), seq.R.Size(), seq.D.Size())
+	}
+	if seq.D.TargetRow(0) == nil || par.D.TargetRow(0) == nil {
+		t.Fatal("D is not dense; compare its pairs instead of its target rows")
+	}
+	for a := range fn.Accesses {
+		if !wordsEqual(par.R.Row(a), seq.R.Row(a)) {
+			t.Fatalf("R row %d differs at 8 workers", a)
+		}
+		if !wordsEqual(par.D.TargetRow(a), seq.D.TargetRow(a)) {
+			t.Fatalf("D target row %d differs at 8 workers", a)
+		}
+	}
+}

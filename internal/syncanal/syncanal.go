@@ -1219,28 +1219,42 @@ func (res *Result) refineRPerAccess(sClasses []*succClass, pClasses []*predClass
 
 // refineRClass runs the same fixpoint on the class-condensed backing. The
 // per-round state lives in class coordinates: each producer class's union
-// of R-successors and each consumer class's dominating-predecessor set
-// become nc-bit class vectors, so the derivation test is an intersection
-// of c-bit rows instead of n-bit rows, and a firing derivation adds one
-// rectangle instead of |members|^2 edges.
+// of R-successors is an nc-bit class vector, kept transposed as one
+// producer bitset per class, so a consumer's firing producers are the OR
+// of the bitsets of its predecessors' classes instead of an n-bit row
+// test per producer, and a firing derivation adds rectangles instead of
+// |members|^2 edges.
 //
 // Rectangle application is deferred to the end of the round. The scan
 // therefore runs against a frozen partition — the screening vectors built
 // after the closure stay exact for the whole scan, with no re-verification
-// of hits against live membership (an earlier design applied rectangles
-// mid-scan and had to chase the splits they caused). Deferral loses
-// nothing: a derivation enabled by a rectangle applied this round fires
-// next round, which the relation growth forces anyway. The batch is
-// grouped by consumer class — all firing producers' members concatenate
-// into a single addRect per consumer — so the consumer side is split once
-// per round instead of once per fire, and the fixpoint (confluent, since
-// R only grows toward the same closure) is reached with the same final
-// relation as eager application.
+// of hits against live membership. Deferral loses nothing: a derivation
+// enabled by a rectangle applied this round fires next round, which the
+// relation growth forces anyway.
+//
+// The frozen scan is also what lets it fan out: each worker owns whole
+// consumers, recording the producers that fire into one as a bitset over
+// producer classes. Consumers are then grouped by that fired-producer set,
+// and each distinct set applies ONE rectangle — A the union of its
+// producers' members, B the union of its consumers' members — since
+// A×B1 ∪ A×B2 = A×(B1∪B2). A round thus splits the partition along a
+// handful of rectangles instead of one per firing consumer, and the
+// fixpoint (confluent, since R only grows toward the same closure) is
+// reached with the same final relation as eager application.
 func (res *Result) refineRClass(sClasses []*succClass, pClasses []*predClass) {
 	cp := res.R.cp
-	derived := make([]bool, len(sClasses)*len(pClasses))
-	fired := make([][]int32, len(pClasses)) // pi -> concatenated producer members
-	var firedOrder []int
+	ns, np := len(sClasses), len(pClasses)
+	sw := graph.WordsFor(ns)
+	// Per consumer, bitsets over producer classes: derived holds every
+	// producer already applied (R only grows, so a derivation never needs
+	// re-checking once it fires), fired the ones this round adds.
+	derived := make([]uint64, np*sw)
+	fired := make([]uint64, np*sw)
+	nw := 1
+	if ns*np >= refineFanoutMin {
+		nw = delay.WorkerCount(np)
+	}
+	var A []int32
 	for {
 		// Coalescing before each closure keeps the class count near the
 		// number of distinct R rows: the seed rectangles and batch-apply
@@ -1250,48 +1264,98 @@ func (res *Result) refineRClass(sClasses []*succClass, pClasses []*predClass) {
 		cp.coalesce()
 		changed := cp.transClose()
 		wc := cp.wc()
-		pcm := make([][]uint64, len(pClasses))
-		for pi, pc := range pClasses {
-			v := make([]uint64, wc)
-			for wi, wd := range pc.row {
-				for ; wd != 0; wd &= wd - 1 {
-					b2 := wi<<6 + bits.TrailingZeros64(wd)
-					graph.BitSet(v, int(cp.classOf[b2]))
-				}
-			}
-			pcm[pi] = v
-		}
-		firedOrder = firedOrder[:0]
-		u := make([]uint64, wc)
+		// U[si], the classes some successor of producer si precedes, is
+		// built once per round and kept transposed: prodOf[c] is the
+		// bitset of producers whose U holds class c.
+		prodOf := make([]uint64, cp.nc*sw)
+		us := make([]uint64, wc)
 		for si, sc := range sClasses {
-			for i := range u {
-				u[i] = 0
-			}
+			clear(us)
 			for _, b1 := range sc.succs {
 				row := cp.rows[cp.classOf[b1]]
-				for i := range u {
-					u[i] |= row[i]
+				for i := range us {
+					us[i] |= row[i]
 				}
 			}
-			for pi := range pClasses {
-				if derived[si*len(pClasses)+pi] {
-					continue
+			for wi, wd := range us {
+				for ; wd != 0; wd &= wd - 1 {
+					c := wi<<6 + bits.TrailingZeros64(wd)
+					graph.BitSet(prodOf[c*sw:(c+1)*sw], si)
 				}
-				if firstCommonBit(u, pcm[pi]) < 0 {
-					continue
-				}
-				derived[si*len(pClasses)+pi] = true
-				if len(fired[pi]) == 0 {
-					firedOrder = append(firedOrder, pi)
-				}
-				fired[pi] = append(fired[pi], sc.members...)
 			}
 		}
-		for _, pi := range firedOrder {
-			if cp.addRect(fired[pi], pClasses[pi].members) {
+		// A producer fires into a consumer when its U meets the class of
+		// one of the consumer's dominating predecessors: some b1 in succs
+		// and b2 in preds have [b1, b2] ∈ R, so every member pair of the
+		// two classes joins R.
+		delay.ParallelFor(np, nw, func(_, pi int) {
+			d, f := derived[pi*sw:(pi+1)*sw], fired[pi*sw:(pi+1)*sw]
+			seen := make([]uint64, wc)
+			for wi, wd := range pClasses[pi].row {
+				for ; wd != 0; wd &= wd - 1 {
+					c := int(cp.classOf[wi<<6+bits.TrailingZeros64(wd)])
+					if graph.BitGet(seen, c) {
+						continue
+					}
+					graph.BitSet(seen, c)
+					for i, pw := range prodOf[c*sw : (c+1)*sw] {
+						f[i] |= pw
+					}
+				}
+			}
+			for i := range f {
+				f[i] &^= d[i]
+				d[i] |= f[i]
+			}
+		})
+
+		// Group the firing consumers by fired-producer set (hash bucket
+		// plus exact compare), in consumer order so the application
+		// sequence is deterministic.
+		type batch struct {
+			set []uint64
+			B   []int32
+		}
+		var batches []*batch
+		buckets := make(map[uint64][]*batch)
+		for pi, pc := range pClasses {
+			f := fired[pi*sw : (pi+1)*sw]
+			h, nz := uint64(1469598103934665603), false
+			for _, wd := range f {
+				h ^= wd
+				h *= 1099511628211
+				nz = nz || wd != 0
+			}
+			if !nz {
+				continue
+			}
+			var bt *batch
+			for _, cand := range buckets[h] {
+				if wordsEqual(cand.set, f) {
+					bt = cand
+					break
+				}
+			}
+			if bt == nil {
+				bt = &batch{set: f}
+				buckets[h] = append(buckets[h], bt)
+				batches = append(batches, bt)
+			}
+			bt.B = append(bt.B, pc.members...)
+		}
+		for _, bt := range batches {
+			A = A[:0]
+			for wi, wd := range bt.set {
+				for ; wd != 0; wd &= wd - 1 {
+					A = append(A, sClasses[wi<<6+bits.TrailingZeros64(wd)].members...)
+				}
+			}
+			if cp.addRect(A, bt.B) {
 				changed = true
 			}
-			fired[pi] = fired[pi][:0]
+		}
+		for i := range fired {
+			fired[i] = 0
 		}
 		// Splits without new crel content cannot enable a derivation (they
 		// leave the access-level relation untouched, and the vectors the
@@ -1303,22 +1367,10 @@ func (res *Result) refineRClass(sClasses []*succClass, pClasses []*predClass) {
 	}
 }
 
-// firstCommonBit returns the lowest bit set in both rows' common prefix,
-// or -1. The rows may differ in length when a mid-round class split grew
-// one side; bits beyond the shorter row correspond to classes the other
-// vector was built without, which the next round re-tests.
-func firstCommonBit(a, b []uint64) int {
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	for i := 0; i < m; i++ {
-		if w := a[i] & b[i]; w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
+// refineFanoutMin is the producer × consumer class count from which a
+// refinement round's consumer scan fans out across workers; smaller scans
+// run serially.
+const refineFanoutMin = 1 << 16
 
 // computeGuards implements the guarded-access definition of section 5.3.
 //
@@ -1334,7 +1386,8 @@ func firstCommonBit(a, b []uint64) int {
 func computeGuards(res *Result) map[int]map[string]bool {
 	fn := res.Fn
 	guards := make(map[int]map[string]bool)
-	held := mustHeldLocks(fn)
+	keys := lockKeys(fn)
+	held := mustHeldLocks(fn, keys)
 	locked := false
 	for _, ls := range held {
 		if len(ls) > 0 {
@@ -1348,13 +1401,25 @@ func computeGuards(res *Result) map[int]map[string]bool {
 		return guards
 	}
 	confined := confinementReach(res)
+	// Lock and unlock operations indexed by key, in access order, so each
+	// (access, held lock) pair scans only the operations on that lock.
+	locks := make(map[string][]*ir.Access)
+	unlocks := make(map[string][]*ir.Access)
+	for _, c := range fn.Accesses {
+		switch k := keys[c.ID]; c.Kind {
+		case ir.AccLock:
+			locks[k] = append(locks[k], c)
+		case ir.AccUnlock:
+			unlocks[k] = append(unlocks[k], c)
+		}
+	}
 	for _, a := range fn.Accesses {
 		for l := range held[a.ID] {
-			b1 := dominatingLock(res, a, l)
+			b1 := dominatingLock(res, a, locks[l])
 			if b1 == nil || !confined.Has(b1.ID, a.ID) {
 				continue
 			}
-			b2 := dominatedUnlock(res, a, l)
+			b2 := dominatedUnlock(res, a, unlocks[l])
 			if b2 == nil || !confined.Has(a.ID, b2.ID) {
 				continue
 			}
@@ -1507,15 +1572,8 @@ func accessLocals(a *ir.Access, out []ir.LocalID) []ir.LocalID {
 }
 
 // mustHeldLocks runs a forward must-dataflow: held[acc] = set of lock keys
-// held on every path reaching the access.
-func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
-	// Collect lock keys.
-	keyOf := func(a *ir.Access) string {
-		if a.Index == nil {
-			return a.Sym.Name
-		}
-		return a.Sym.Name + "[" + fn.ExprString(a.Index) + "]"
-	}
+// held on every path reaching the access. keys is lockKeys(fn).
+func mustHeldLocks(fn *ir.Fn, keys []string) map[int]map[string]bool {
 	nb := len(fn.Blocks)
 	// in[b] = set held at block entry. Universal set approximated by nil
 	// with a visited flag.
@@ -1541,9 +1599,9 @@ func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
 			}
 			switch a.Kind {
 			case ir.AccLock:
-				out[keyOf(a)] = true
+				out[keys[a.ID]] = true
 			case ir.AccUnlock:
-				delete(out, keyOf(a))
+				delete(out, keys[a.ID])
 			}
 		}
 		return out
@@ -1604,9 +1662,9 @@ func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
 			held[a.ID] = clone(cur)
 			switch a.Kind {
 			case ir.AccLock:
-				cur[keyOf(a)] = true
+				cur[keys[a.ID]] = true
 			case ir.AccUnlock:
-				delete(cur, keyOf(a))
+				delete(cur, keys[a.ID])
 			}
 		}
 	}
@@ -1625,31 +1683,43 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
-// dominatingLock finds a lock access with key l that dominates a, or nil.
-func dominatingLock(res *Result, a *ir.Access, l string) *ir.Access {
-	for _, c := range res.Fn.Accesses {
-		if c.Kind == ir.AccLock && accessKey(res.Fn, c) == l && res.Dom.StmtDominates(c, a) {
+// dominatingLock returns the first of locks (the lock operations on one
+// key) that dominates a, or nil.
+func dominatingLock(res *Result, a *ir.Access, locks []*ir.Access) *ir.Access {
+	for _, c := range locks {
+		if res.Dom.StmtDominates(c, a) {
 			return c
 		}
 	}
 	return nil
 }
 
-// dominatedUnlock finds an unlock access with key l dominated by a, or nil.
-func dominatedUnlock(res *Result, a *ir.Access, l string) *ir.Access {
-	for _, c := range res.Fn.Accesses {
-		if c.Kind == ir.AccUnlock && accessKey(res.Fn, c) == l && res.Dom.StmtDominates(a, c) {
+// dominatedUnlock returns the first of unlocks (the unlock operations on
+// one key) that a dominates, or nil.
+func dominatedUnlock(res *Result, a *ir.Access, unlocks []*ir.Access) *ir.Access {
+	for _, c := range unlocks {
+		if res.Dom.StmtDominates(a, c) {
 			return c
 		}
 	}
 	return nil
 }
 
-func accessKey(fn *ir.Fn, a *ir.Access) string {
-	if a.Index == nil {
-		return a.Sym.Name
+// lockKeys returns the key of the lock each lock and unlock access names
+// (the symbol, plus the printed index into a lock array), indexed by
+// access ID; other accesses get "".
+func lockKeys(fn *ir.Fn) []string {
+	keys := make([]string, len(fn.Accesses))
+	for _, a := range fn.Accesses {
+		if a.Kind != ir.AccLock && a.Kind != ir.AccUnlock {
+			continue
+		}
+		keys[a.ID] = a.Sym.Name
+		if a.Index != nil {
+			keys[a.ID] += "[" + fn.ExprString(a.Index) + "]"
+		}
 	}
-	return a.Sym.Name + "[" + fn.ExprString(a.Index) + "]"
+	return keys
 }
 
 // Summary renders a human-readable account of the analysis for the driver.
